@@ -6,23 +6,31 @@
 // nonblocking reads. Per connection the service keeps an RxBuffer
 // (partial-frame reassembly), a trace::WireDecoder (stream validation +
 // per-stream StrId re-interning, so two producers' interned ids can never
-// collide after ingest), and lazy span-id/correlation-id remap tables
-// that translate each producer's sink-local ids into the server's
-// fleet-wide id space. Children publish before parents in the wire
-// stream, so the remap allocates on first sight of an id — a forward
-// parent reference simply mints the server id early.
+// collide after ingest), and block remaps that lift each producer's
+// sink-local span and correlation ids into the server's fleet-wide id
+// space. The remap works by block, not by id: producer block
+// `id / trace::kIdBlock` maps to a block reserved from the sink
+// (SpanSink::reserve_span_block / reserve_correlation_block), and the
+// server id is that block's base plus `id % kIdBlock`. Equal ids within a
+// connection stay equal, connections never collide (each reserves its own
+// blocks), and a child published before its parent reserves the parent's
+// block early, so the forward reference resolves. A last-block cache makes
+// a dense stream's remap a compare and an add.
 //
 // Per-connection memory is bounded (the I2PA always-on discipline): the
 // RxBuffer never holds more than one maximum frame (hard cap
 // max_frame_payload, default wire::kMaxFramePayload) plus a read chunk,
-// and decode scratch is reused. Hostile input — bad magic, oversized
-// length prefixes, unknown string ids, absurd annotation counts — throws
-// WireError inside the per-connection decode, which closes that
-// connection and increments connections_errored; the daemon itself never
-// dies from a client's bytes.
+// decode scratch is reused, and the remaps hold one entry per distinct
+// 1024-id producer block (CollectorStats::remap_blocks) — a dense
+// producer costs one entry per 1024 ids, a sparse one at most one per id.
+// Hostile input — bad magic, oversized length prefixes, unknown string
+// ids, absurd annotation counts — throws WireError inside the
+// per-connection decode, which closes that connection and increments
+// connections_errored; the daemon itself never dies from a client's bytes.
 //
 // Lifecycle: run() blocks until stop() (SIGTERM handlers just call
-// stop(); it is an atomic store). Stopping enters a graceful drain: the
+// stop(): an atomic store plus one write(2) to an eventfd the poll loop
+// watches, so run() wakes at once). Stopping enters a graceful drain: the
 // listener closes, existing connections keep draining until EOF/footer or
 // drain_timeout_ms, then the loop returns — the daemon half of the drain
 // protocol in src/trace/README.md (a producer's shutdown_write is "stream
@@ -47,7 +55,6 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "xsp/metrics/registry.hpp"
@@ -65,7 +72,8 @@ struct CollectorOptions {
   std::size_t max_frame_payload = trace::wire::kMaxFramePayload;
   /// Bytes per read(2) into the reassembly buffer.
   std::size_t read_chunk = 64 * 1024;
-  /// Poll granularity — the latency bound on noticing stop().
+  /// Upper bound on one poll(2) wait of the accept/ingest loop. stop()
+  /// wakes the loop at once, so this bounds nothing a caller waits on.
   int poll_timeout_ms = 50;
   /// How long a graceful drain waits for connected producers to finish.
   int drain_timeout_ms = 5000;
@@ -108,6 +116,9 @@ struct CollectorStats {
   /// completeness story in two numbers.
   std::uint64_t producer_dropped_spans = 0;
   std::uint64_t producer_reconnects = 0;
+  /// Gauge: id-remap entries held by the open connections — one per
+  /// distinct 1024-id producer block (span and correlation ids alike).
+  std::uint64_t remap_blocks = 0;
 };
 
 class CollectorService {
@@ -127,8 +138,8 @@ class CollectorService {
   void run();
 
   /// Request shutdown + drain. Thread-safe; callable from a signal
-  /// handler (plain atomic store).
-  void stop() noexcept { stop_.store(true, std::memory_order_relaxed); }
+  /// handler (an atomic store and one write(2), both async-signal-safe).
+  void stop() noexcept;
 
   /// The endpoint actually bound (TCP port resolved if 0 was requested).
   [[nodiscard]] const Endpoint& endpoint() const;
@@ -166,6 +177,8 @@ class CollectorService {
   std::unique_ptr<Listener> listener_;
   std::vector<std::unique_ptr<Connection>> conns_;
   std::atomic<bool> stop_{false};
+  /// eventfd stop() writes to; run()'s poller watches it.
+  int wake_fd_ = -1;
 
   /// HTTP responder state (run() thread only past construction).
   std::unique_ptr<Listener> http_listener_;

@@ -1,8 +1,13 @@
 #include "xsp/net/collector.hpp"
 
+#include <sys/eventfd.h>
+#include <unistd.h>
+
+#include <cerrno>
 #include <chrono>
 #include <cstring>
 #include <string_view>
+#include <unordered_map>
 #include <utility>
 
 #include "xsp/common/string_table.hpp"
@@ -12,7 +17,6 @@ namespace xsp::net {
 namespace {
 
 using trace::Span;
-using trace::SpanId;
 using trace::WireError;
 namespace wire = trace::wire;
 
@@ -24,6 +28,33 @@ std::string conn_label(std::uint64_t id) {
   return "conn=\"" + std::to_string(id) + "\"";
 }
 
+/// One producer id space lifted into the sink's a block at a time (see
+/// the header): one entry per distinct producer block, with the last
+/// block used cached in front of the table.
+class BlockRemap {
+ public:
+  template <typename Reserve>
+  std::uint64_t map(std::uint64_t id, Reserve reserve) {
+    const std::uint64_t key = id / trace::kIdBlock;
+    if (key != last_key_) {
+      const auto [it, inserted] = blocks_.try_emplace(key, 0);
+      if (inserted) it->second = reserve();
+      last_key_ = key;
+      last_base_ = it->second;
+    }
+    return last_base_ + id % trace::kIdBlock;
+  }
+
+  [[nodiscard]] std::size_t blocks() const { return blocks_.size(); }
+
+ private:
+  /// Producer block -> first id of the reserved sink block.
+  std::unordered_map<std::uint64_t, std::uint64_t> blocks_;
+  /// No id's block number reaches 2^64 / kIdBlock, so ~0 is never a key.
+  std::uint64_t last_key_ = ~std::uint64_t{0};
+  std::uint64_t last_base_ = 0;
+};
+
 }  // namespace
 
 /// Per-connection ingest state. Everything here is touched only by the
@@ -32,11 +63,9 @@ struct CollectorService::Connection {
   Socket sock;
   RxBuffer rx;
   trace::WireDecoder decoder;
-  /// Producer-local span id -> server-wide id, allocated lazily so a
-  /// child's forward reference to a not-yet-published parent mints the
-  /// parent's server id early and the later parent span reuses it.
-  std::unordered_map<SpanId, SpanId> span_remap;
-  std::unordered_map<std::uint64_t, std::uint64_t> corr_remap;
+  /// Producer-local span/correlation ids -> server-wide ids.
+  BlockRemap span_remap;
+  BlockRemap corr_remap;
   trace::SpanBatch scratch;
   /// Stream format version from the validated header; sizes the footer
   /// frame (wire::footer_size) so v1 producers keep working against a v2
@@ -59,6 +88,10 @@ struct CollectorService::Connection {
   Clock::time_point last_hb{};
 
   explicit Connection(Socket s) : sock(std::move(s)) {}
+
+  [[nodiscard]] std::size_t remap_blocks() const {
+    return span_remap.blocks() + corr_remap.blocks();
+  }
 };
 
 /// One metrics-endpoint client. Request heads are parsed incrementally
@@ -86,9 +119,25 @@ CollectorService::CollectorService(const Endpoint& endpoint,
     http_listener_ =
         std::make_unique<Listener>(Endpoint::parse(opts_.metrics_endpoint));
   }
+  // Last, so no later throw can leak the fd.
+  wake_fd_ = ::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
+  if (wake_fd_ < 0) {
+    throw NetError(std::string("xsp collector: eventfd: ") + std::strerror(errno));
+  }
 }
 
-CollectorService::~CollectorService() = default;
+CollectorService::~CollectorService() { ::close(wake_fd_); }
+
+void CollectorService::stop() noexcept {
+  stop_.store(true, std::memory_order_relaxed);
+  // Wakes run()'s poll. A full counter (never, in practice) still leaves
+  // the fd readable, so a failed write loses nothing. errno is restored:
+  // this runs inside signal handlers.
+  const int saved_errno = errno;
+  const std::uint64_t one = 1;
+  [[maybe_unused]] const ssize_t n = ::write(wake_fd_, &one, sizeof one);
+  errno = saved_errno;
+}
 
 const Endpoint& CollectorService::endpoint() const {
   return listener_->endpoint();
@@ -111,8 +160,11 @@ void CollectorService::run() {
   Poller poller;
   poller.watch(listener_->fd(), Poller::kReadable);
   if (http_listener_) poller.watch(http_listener_->fd(), Poller::kReadable);
+  // Never read: once stop() made it readable, the loop is done.
+  poller.watch(wake_fd_, Poller::kReadable);
   while (!stop_.load(std::memory_order_relaxed)) {
     for (const Poller::Event& ev : poller.wait(opts_.poll_timeout_ms)) {
+      if (ev.fd == wake_fd_) continue;
       if (ev.fd == listener_->fd()) {
         if (ev.readable) {
           const std::size_t before = conns_.size();
@@ -160,11 +212,16 @@ void CollectorService::run() {
   listener_.reset();
   const auto deadline = std::chrono::steady_clock::now() +
                         std::chrono::milliseconds(opts_.drain_timeout_ms);
-  while (!conns_.empty() && std::chrono::steady_clock::now() < deadline) {
+  while (!conns_.empty()) {
+    // Each wait ends on producer bytes or the drain deadline.
+    const auto left = std::chrono::ceil<std::chrono::milliseconds>(
+        deadline - std::chrono::steady_clock::now());
+    if (left.count() <= 0) break;
     Poller drain_poller;
     for (const auto& conn : conns_)
       drain_poller.watch(conn->sock.fd(), Poller::kReadable);
-    for (const Poller::Event& ev : drain_poller.wait(opts_.poll_timeout_ms)) {
+    for (const Poller::Event& ev :
+         drain_poller.wait(static_cast<int>(left.count()))) {
       for (std::size_t i = 0; i < conns_.size(); ++i) {
         if (conns_[i]->sock.fd() != ev.fd) continue;
         if (!service_connection(*conns_[i])) close_connection(i);
@@ -312,25 +369,21 @@ void CollectorService::parse_frames(Connection& conn) {
 void CollectorService::ingest_batch(Connection& conn) {
   // Strings were re-interned by the decoder; now lift the producer's
   // sink-local span/correlation ids into the server's fleet-wide space.
-  const auto map_span_id = [&conn, this](SpanId producer_id) -> SpanId {
-    if (producer_id == trace::kNoSpan) return trace::kNoSpan;
-    const auto [it, inserted] = conn.span_remap.emplace(producer_id, 0);
-    if (inserted) it->second = sink_.next_span_id();
-    return it->second;
-  };
+  const auto span_block = [this] { return sink_.reserve_span_block(); };
+  const auto corr_block = [this] { return sink_.reserve_correlation_block(); };
+  const std::size_t blocks_before = conn.remap_blocks();
   for (Span& span : conn.scratch) {
-    span.id = map_span_id(span.id);
-    span.parent = map_span_id(span.parent);
-    if (span.correlation_id != 0) {
-      const auto [it, inserted] = conn.corr_remap.emplace(span.correlation_id, 0);
-      if (inserted) it->second = sink_.next_correlation_id();
-      span.correlation_id = it->second;
-    }
+    if (span.id != trace::kNoSpan) span.id = conn.span_remap.map(span.id, span_block);
+    if (span.parent != trace::kNoSpan)
+      span.parent = conn.span_remap.map(span.parent, span_block);
+    if (span.correlation_id != 0)
+      span.correlation_id = conn.corr_remap.map(span.correlation_id, corr_block);
     sink_.publish(span);
   }
   conn.spans += conn.scratch.size();
   std::lock_guard lk(stats_mu_);
   stats_.spans_ingested += conn.scratch.size();
+  stats_.remap_blocks += conn.remap_blocks() - blocks_before;
 }
 
 void CollectorService::close_connection(std::size_t index) {
@@ -341,6 +394,7 @@ void CollectorService::close_connection(std::size_t index) {
     } else {
       ++stats_.connections_closed;
     }
+    stats_.remap_blocks -= conns_[index]->remap_blocks();
   }
   // Destroying the socket closes our end — the drain-protocol ack a
   // cleanly-finished producer is waiting for.
@@ -489,6 +543,10 @@ void CollectorService::build_metrics_text(std::string& out) {
                        "Producer connections currently open", Kind::kGauge);
   append_sample_line(out, "xsp_collector_open_connections", {},
                      static_cast<std::uint64_t>(conns_.size()));
+  append_family_header(out, "xsp_collector_remap_blocks",
+                       "Id-remap entries held by open connections (one per 1024-id producer block)",
+                       Kind::kGauge);
+  append_sample_line(out, "xsp_collector_remap_blocks", {}, s.remap_blocks);
 
   // Bounded-interning health of the collector's own global table — the
   // table every producer stream re-interns into. CI's multi-process smoke

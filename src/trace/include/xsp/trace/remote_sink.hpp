@@ -102,6 +102,8 @@ class RemoteSink final : public SpanSink {
   // fleet-wide id space at ingest, so producers need no coordination.
   SpanId next_span_id() noexcept override;
   std::uint64_t next_correlation_id() noexcept override;
+  SpanId reserve_span_block() noexcept override;
+  std::uint64_t reserve_correlation_block() noexcept override;
   void publish(Span span) override;
 
   /// Enqueue already-sealed batches — the drain-subscriber shape, so a
@@ -135,6 +137,10 @@ class RemoteSink final : public SpanSink {
   // --- telemetry -----------------------------------------------------------
   [[nodiscard]] std::uint64_t spans_published() const noexcept;
   /// Spans accepted by the socket layer (left the FrameSink fully).
+  /// Credited as soon as the FrameSink empties — including by a flush of
+  /// bytes left pending after the outbox went idle — so
+  /// published == sent + dropped + sampled_dropped holds whenever the
+  /// sink is idle, not only after close().
   [[nodiscard]] std::uint64_t spans_sent() const noexcept;
   /// Spans that were admitted but never delivered (congestion, dead
   /// connections, close against an unreachable daemon). Invariant at
@@ -172,6 +178,10 @@ class RemoteSink final : public SpanSink {
   void enqueue_locked(SpanBatch&& batch);
   void sender_loop();
   bool connect_once(Conn& conn);
+  /// After a write or flush: credit spans_in_flight as sent once their
+  /// bytes fully left the FrameSink, or — when the sink failed — account
+  /// them as dropped and tear the connection down. Returns conn.ok().
+  bool settle(Conn& conn);
   void finish_stream(Conn& conn);
   /// Snapshot the live counters into a heartbeat frame (sender thread).
   [[nodiscard]] wire::Heartbeat make_heartbeat();

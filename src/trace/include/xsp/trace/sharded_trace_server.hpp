@@ -89,6 +89,15 @@ class ShardedTraceServer final : public SpanSink {
     return next_corr_.fetch_add(1, std::memory_order_relaxed);
   }
 
+  /// A block of the calling thread's shard stripe (fleet-unique, like
+  /// next_span_id()).
+  SpanId reserve_span_block() noexcept override;
+
+  /// A block of the fleet-wide correlation counter.
+  std::uint64_t reserve_correlation_block() noexcept override {
+    return next_corr_.fetch_add(kIdBlock, std::memory_order_relaxed);
+  }
+
   /// Publish to the shard the policy selects.
   void publish(Span span) override;
 

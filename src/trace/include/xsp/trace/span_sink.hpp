@@ -9,6 +9,10 @@
 // call as one virtual dispatch into a `final` implementation the compiler
 // can devirtualize at concrete call sites.
 //
+// A sink also hands out whole blocks of kIdBlock consecutive ids: the
+// collector maps each remote producer's id blocks onto reserved ones, one
+// reservation per 1024 ids instead of one hash insert per id.
+//
 // Deliberately NOT part of this surface: producer-slot lifecycle. A
 // publishing thread needs no attach/detach hook — sink implementations
 // key per-thread state on process-unique thread and server uids, register
@@ -23,6 +27,9 @@
 
 namespace xsp::trace {
 
+/// Ids per reserved block (reserve_span_block / reserve_correlation_block).
+inline constexpr std::uint64_t kIdBlock = 1024;
+
 /// Producer-facing surface of a span collector.
 class SpanSink {
  public:
@@ -33,6 +40,15 @@ class SpanSink {
 
   /// Allocate a fresh correlation id for an async launch/execution pair.
   virtual std::uint64_t next_correlation_id() noexcept = 0;
+
+  /// Reserve kIdBlock consecutive fresh span ids and return the first:
+  /// [first, first + kIdBlock) never overlaps any other id this sink hands
+  /// out, and never contains kNoSpan.
+  virtual SpanId reserve_span_block() noexcept = 0;
+
+  /// Reserve kIdBlock consecutive fresh correlation ids (never 0) and
+  /// return the first.
+  virtual std::uint64_t reserve_correlation_block() noexcept = 0;
 
   /// Publish one completed span. Thread-safe.
   virtual void publish(Span span) = 0;

@@ -109,7 +109,7 @@ class TraceServer final : public SpanSink {
   static constexpr std::size_t kBatchCapacity = 256;
 
   /// Span ids per block handed to a publishing thread.
-  static constexpr SpanId kIdBlockSize = 1024;
+  static constexpr SpanId kIdBlockSize = kIdBlock;
 
   /// Batch vectors kept for reuse after recycle(); bounds idle memory at
   /// kFreelistCapacity * kBatchCapacity * sizeof(Span).
@@ -137,6 +137,14 @@ class TraceServer final : public SpanSink {
   /// Allocate a fresh correlation id for an async launch/execution pair.
   std::uint64_t next_correlation_id() noexcept override {
     return next_corr_.fetch_add(1, std::memory_order_relaxed);
+  }
+
+  /// The next block of this server's id stripe — the same blocks
+  /// next_span_id() refills its thread-local cache from.
+  SpanId reserve_span_block() noexcept override;
+
+  std::uint64_t reserve_correlation_block() noexcept override {
+    return next_corr_.fetch_add(kIdBlock, std::memory_order_relaxed);
   }
 
   /// Publish one completed span. Thread-safe; appends to the calling

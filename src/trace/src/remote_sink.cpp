@@ -42,6 +42,14 @@ std::uint64_t RemoteSink::next_correlation_id() noexcept {
   return next_corr_.fetch_add(1, std::memory_order_relaxed);
 }
 
+SpanId RemoteSink::reserve_span_block() noexcept {
+  return next_id_.fetch_add(kIdBlock, std::memory_order_relaxed);
+}
+
+std::uint64_t RemoteSink::reserve_correlation_block() noexcept {
+  return next_corr_.fetch_add(kIdBlock, std::memory_order_relaxed);
+}
+
 void RemoteSink::publish(Span span) {
   published_.fetch_add(1, std::memory_order_relaxed);
   std::lock_guard lk(mu_);
@@ -180,6 +188,25 @@ bool RemoteSink::connect_once(Conn& conn) {
   return true;
 }
 
+bool RemoteSink::settle(Conn& conn) {
+  if (conn.writer->sink_failed()) {
+    // Delivery of everything since the last full drain is unknown; count
+    // it dropped — honest accounting over-counts rather than hides.
+    // Queued batches survive for the reconnect.
+    dropped_.fetch_add(conn.spans_in_flight, std::memory_order_relaxed);
+    conn.spans_in_flight = 0;
+    conn.writer.reset();
+    conn.sock.close();
+    connected_.store(false, std::memory_order_relaxed);
+    return false;
+  }
+  if (conn.writer->sink_pending_bytes() == 0) {
+    sent_.fetch_add(conn.spans_in_flight, std::memory_order_relaxed);
+    conn.spans_in_flight = 0;
+  }
+  return true;
+}
+
 void RemoteSink::sender_loop() {
   Conn conn;
   int backoff_ms = opts_.backoff_initial_ms;
@@ -190,15 +217,20 @@ void RemoteSink::sender_loop() {
   auto next_hb = std::chrono::steady_clock::now() + hb_interval;
 
   for (;;) {
+    // Bytes still in the FrameSink: once the outbox is empty, this
+    // iteration waits on the socket (below), not on the cv.
+    bool stranded = conn.ok() && conn.writer->sink_pending_bytes() > 0;
     {
       std::unique_lock lk(mu_);
       const auto pred = [this] { return stop_ || !outbox_.empty(); };
       bool timed_out = false;
-      if (hb_enabled) {
-        // Deadline wait: wake for data/stop OR the next heartbeat tick.
-        timed_out = !cv_.wait_until(lk, next_hb, pred);
-      } else {
-        cv_.wait(lk, pred);
+      if (!stranded) {
+        if (hb_enabled) {
+          // Deadline wait: wake for data/stop OR the next heartbeat tick.
+          timed_out = !cv_.wait_until(lk, next_hb, pred);
+        } else {
+          cv_.wait(lk, pred);
+        }
       }
       if (outbox_.empty() && stop_) break;
       if (timed_out && outbox_.empty() && !conn.ok()) {
@@ -208,6 +240,16 @@ void RemoteSink::sender_loop() {
         next_hb = std::chrono::steady_clock::now() + hb_interval;
         continue;
       }
+      stranded = stranded && outbox_.empty();
+    }
+
+    if (stranded) {
+      // A busy period ended with bytes still pending and nothing queued
+      // behind them: push them out (and credit their spans) as soon as
+      // the socket takes them, not at the next batch, heartbeat or close().
+      conn.sock.wait_writable(opts_.io_wait_ms);
+      conn.writer->flush();
+      if (!settle(conn)) continue;
     }
 
     if (!conn.ok()) {
@@ -236,18 +278,10 @@ void RemoteSink::sender_loop() {
 
     // Heartbeat when due — before the next batch, so a stalled outbox
     // still reports live counters (that is the point of the frame).
-    if (hb_enabled && conn.ok() && std::chrono::steady_clock::now() >= next_hb) {
+    if (hb_enabled && std::chrono::steady_clock::now() >= next_hb) {
       conn.writer->write_heartbeat(make_heartbeat());
       next_hb = std::chrono::steady_clock::now() + hb_interval;
-      if (conn.writer->sink_failed()) {
-        // Same dead-connection policy as a failed batch write below.
-        dropped_.fetch_add(conn.spans_in_flight, std::memory_order_relaxed);
-        conn.spans_in_flight = 0;
-        conn.writer.reset();
-        conn.sock.close();
-        connected_.store(false, std::memory_order_relaxed);
-        continue;
-      }
+      if (!settle(conn)) continue;
       heartbeats_sent_.fetch_add(1, std::memory_order_relaxed);
     }
 
@@ -264,43 +298,35 @@ void RemoteSink::sender_loop() {
     // grow memory without bound, so past the cap the batch drops instead.
     if (conn.writer->sink_pending_bytes() > opts_.max_wire_pending_bytes) {
       conn.writer->flush();
-      if (!conn.writer->sink_failed() &&
-          conn.writer->sink_pending_bytes() > opts_.max_wire_pending_bytes) {
+      if (!settle(conn)) {
+        // The connection died under the flush; the batch was never
+        // encoded, so it goes back to the head of the outbox for the
+        // reconnect like every other queued batch.
+        std::lock_guard lk(mu_);
+        outbox_spans_ += batch.size();
+        outbox_.push_front(std::move(batch));
+        continue;
+      }
+      if (conn.writer->sink_pending_bytes() > opts_.max_wire_pending_bytes) {
         dropped_.fetch_add(batch.size(), std::memory_order_relaxed);
         continue;
       }
     }
 
-    if (!conn.writer->sink_failed()) {
-      conn.writer->write_batch(batch);
-      conn.spans_in_flight += batch.size();
-      // Latency bound for trickle producers: below the FrameSink's flush
-      // threshold encoded frames sit in its buffer, so once the outbox is
-      // empty push them to the socket now instead of waiting for 64 KiB
-      // to accumulate (a sparse stream would otherwise only ever reach
-      // the collector at close()).
-      bool idle;
-      {
-        std::lock_guard lk(mu_);
-        idle = outbox_.empty();
-      }
-      if (idle && !conn.writer->sink_failed()) conn.writer->flush();
-      if (!conn.writer->sink_failed() &&
-          conn.writer->sink_pending_bytes() == 0) {
-        sent_.fetch_add(conn.spans_in_flight, std::memory_order_relaxed);
-        conn.spans_in_flight = 0;
-      }
+    conn.writer->write_batch(batch);
+    conn.spans_in_flight += batch.size();
+    // Latency bound for trickle producers: below the FrameSink's flush
+    // threshold encoded frames sit in its buffer, so once the outbox is
+    // empty push them to the socket now instead of waiting for 64 KiB to
+    // accumulate (a sparse stream would otherwise only ever reach the
+    // collector at close()).
+    bool idle;
+    {
+      std::lock_guard lk(mu_);
+      idle = outbox_.empty();
     }
-    if (conn.writer->sink_failed()) {
-      // Delivery of everything since the last full drain is unknown;
-      // count it dropped — honest accounting over-counts rather than
-      // hides. Queued batches survive for the reconnect.
-      dropped_.fetch_add(conn.spans_in_flight, std::memory_order_relaxed);
-      conn.spans_in_flight = 0;
-      conn.writer.reset();
-      conn.sock.close();
-      connected_.store(false, std::memory_order_relaxed);
-    }
+    if (idle && !conn.writer->sink_failed()) conn.writer->flush();
+    settle(conn);
   }
 
   finish_stream(conn);

@@ -96,16 +96,20 @@ thread_local IdBlock tls_id_block{nullptr, 0, 0, 0};
 
 }  // namespace
 
+SpanId TraceServer::reserve_span_block() noexcept {
+  // Global block number under the stripe: shard i of N allocates blocks
+  // i, i+N, i+2N, ... — disjoint across shards by construction. Block 0
+  // starts at id 1, so kNoSpan is never handed out.
+  const std::uint64_t k = next_block_.fetch_add(1, std::memory_order_relaxed);
+  return (stripe_.index + k * stripe_.stride) * kIdBlockSize + 1;
+}
+
 SpanId TraceServer::next_span_id() noexcept {
   IdBlock& block = tls_id_block;
   if (block.server == this && block.uid == uid_ && block.next != block.end) {
     return block.next++;
   }
-  // Global block number under the stripe: shard i of N allocates blocks
-  // i, i+N, i+2N, ... — disjoint across shards by construction. Block 0
-  // starts at id 1, so kNoSpan is never handed out.
-  const std::uint64_t k = next_block_.fetch_add(1, std::memory_order_relaxed);
-  const SpanId start = (stripe_.index + k * stripe_.stride) * kIdBlockSize + 1;
+  const SpanId start = reserve_span_block();
   block = {this, uid_, start + 1, start + kIdBlockSize};
   return start;
 }
@@ -612,13 +616,16 @@ void TraceServer::bind_metrics(metrics::Registry& registry, metrics::Labels labe
 void TraceServer::collector_loop() {
   std::unique_lock lk(wake_mu_);
   while (!stop_.load(std::memory_order_acquire)) {
-    wake_cv_.wait_for(lk, std::chrono::milliseconds(50), [this] {
+    const bool woken = wake_cv_.wait_for(lk, std::chrono::milliseconds(50), [this] {
       return stop_.load(std::memory_order_acquire) ||
              pending_batches_.load(std::memory_order_acquire) > 0;
     });
     pending_batches_.store(0, std::memory_order_release);
     lk.unlock();
-    drain(/*steal_active=*/false);
+    // A full timeout with nothing sealed means traffic stopped short of a
+    // batch: take the partial batches too, so a trickle is delivered within
+    // one period instead of waiting for more traffic or a flush().
+    drain(/*steal_active=*/!woken);
     lk.lock();
   }
 }

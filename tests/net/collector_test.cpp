@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstring>
 #include <map>
@@ -27,6 +28,7 @@
 #include "xsp/trace/sampler.hpp"
 #include "xsp/trace/sharded_trace_server.hpp"
 #include "xsp/trace/span_sink.hpp"
+#include "xsp/trace/tracer.hpp"
 #include "xsp/trace/wire.hpp"
 
 namespace xsp::net {
@@ -807,6 +809,352 @@ TEST(RemoteSinkSampling, BackpressureShedsSelectivelyBeforeBlindDrops) {
       << "sheds are an of-which breakdown of total drops";
   EXPECT_EQ(sink.spans_sampled_dropped(), 0u) << "rate 1.0 rejects nothing at admission";
   EXPECT_EQ(sink.spans_sent() + sink.spans_dropped(), sink.spans_published());
+}
+
+// --- block-granular id remap -----------------------------------------------
+
+/// Fabricated string ids every crafted remap stream reuses; each
+/// connection's decoder re-interns them into its own names.
+constexpr std::uint32_t kRemapNameId = 0x00DD0001;
+constexpr std::uint32_t kRemapTracerId = 0x00DD0002;
+
+/// Stream header plus the StringDelta naming this connection's tracer.
+std::string remap_stream_head(std::string_view tracer) {
+  return header_bytes() +
+         frame(trace::wire::FrameType::kStringDelta,
+               delta_entry(kRemapNameId, "remap_op") + delta_entry(kRemapTracerId, tracer));
+}
+
+/// A crafted span; `begin` records the producer id so a test can find a
+/// span again after its ids were remapped.
+Span remap_span(SpanId id, SpanId parent, std::uint64_t corr = 0) {
+  Span s;
+  s.id = id;
+  s.parent = parent;
+  s.correlation_id = corr;
+  s.name = StrId::from_raw(kRemapNameId);
+  s.tracer = StrId::from_raw(kRemapTracerId);
+  s.begin = static_cast<TimePoint>(id & 0x3FFFFFFFFFFFFFFF);
+  s.end = s.begin + 1;
+  return s;
+}
+
+std::string batch_frame(const std::vector<Span>& spans) {
+  return frame(trace::wire::FrameType::kSpanBatch, span_batch_payload(spans));
+}
+
+/// Send whole streams over fresh connections, half-close, wait for the
+/// daemon's ack, and return the collected trace grouped by tracer name.
+std::map<std::string, std::vector<Span>> collect_streams(
+    const Endpoint& ep, const std::vector<std::pair<std::string, std::string>>& streams) {
+  RunningCollector collector(ep);
+  std::vector<Socket> socks;
+  for (const auto& [tracer, bytes] : streams) {
+    socks.push_back(try_connect(ep, 1000));
+    EXPECT_TRUE(socks.back().valid());
+    EXPECT_TRUE(send_all(socks.back(), remap_stream_head(tracer) + bytes));
+  }
+  for (Socket& sock : socks) {
+    sock.shutdown_write();
+    (void)read_to_eof(sock);
+  }
+  collector.stop();
+  collector.server.flush();
+  std::map<std::string, std::vector<Span>> by_tracer;
+  for (const Span& sp : collector.server.take_trace()) by_tracer[sp.tracer.str()].push_back(sp);
+  return by_tracer;
+}
+
+/// Server id of the span whose producer id was `producer_id`.
+SpanId server_id_of(const std::vector<Span>& spans, SpanId producer_id) {
+  for (const Span& sp : spans)
+    if (sp.begin == remap_span(producer_id, kNoSpan).begin) return sp.id;
+  return kNoSpan;
+}
+
+TEST(CollectorRemap, IdenticalProducerIdsOnTwoConnectionsGetDisjointServerIds) {
+  // Both producers count 1..3000 (three id blocks), each span the child
+  // of the one before.
+  constexpr SpanId kSpans = 3000;
+  std::vector<Span> spans;
+  for (SpanId id = 1; id <= kSpans; ++id) spans.push_back(remap_span(id, id - 1));
+  const auto by_tracer = collect_streams(
+      uds_endpoint("remap_twin"), {{"twin_a", batch_frame(spans)}, {"twin_b", batch_frame(spans)}});
+  ASSERT_EQ(by_tracer.size(), 2u);
+
+  std::vector<SpanId> all_ids;
+  for (const auto& [tracer, got] : by_tracer) {
+    ASSERT_EQ(got.size(), kSpans) << tracer;
+    for (const Span& sp : got) all_ids.push_back(sp.id);
+    // Equal producer ids stay equal: each parent is its predecessor's id.
+    std::map<TimePoint, const Span*> by_begin;
+    for (const Span& sp : got) by_begin[sp.begin] = &sp;
+    for (SpanId id = 2; id <= kSpans; ++id) {
+      const Span* child = by_begin.at(remap_span(id, kNoSpan).begin);
+      const Span* parent = by_begin.at(remap_span(id - 1, kNoSpan).begin);
+      ASSERT_EQ(child->parent, parent->id) << tracer << " producer id " << id;
+    }
+    EXPECT_EQ(by_begin.at(remap_span(1, kNoSpan).begin)->parent, kNoSpan);
+  }
+  std::sort(all_ids.begin(), all_ids.end());
+  EXPECT_NE(all_ids.front(), kNoSpan);
+  EXPECT_TRUE(std::adjacent_find(all_ids.begin(), all_ids.end()) == all_ids.end())
+      << "two connections' remapped ids collided";
+}
+
+TEST(CollectorRemap, ChildSentBeforeItsParentResolvesToTheParentsLaterId) {
+  // Children publish before parents: the child's forward reference lands
+  // in a block the parent's own frame arrives for only later.
+  const std::string bytes = batch_frame({remap_span(2, 5000), remap_span(3, 2)}) +
+                            batch_frame({remap_span(5000, 9000)}) +
+                            batch_frame({remap_span(9000, kNoSpan)});
+  const auto by_tracer = collect_streams(uds_endpoint("remap_fwd"), {{"forward", bytes}});
+  const std::vector<Span>& got = by_tracer.at("forward");
+  ASSERT_EQ(got.size(), 4u);
+  const SpanId parent = server_id_of(got, 5000);
+  const SpanId grandparent = server_id_of(got, 9000);
+  ASSERT_NE(parent, kNoSpan);
+  ASSERT_NE(grandparent, kNoSpan);
+  EXPECT_NE(parent, grandparent);
+  const auto parent_of = [&got](SpanId producer_id) {
+    for (const Span& sp : got)
+      if (sp.begin == remap_span(producer_id, kNoSpan).begin) return sp.parent;
+    return kNoSpan;
+  };
+  EXPECT_EQ(parent_of(2), parent);
+  EXPECT_EQ(parent_of(3), server_id_of(got, 2));
+  EXPECT_EQ(parent_of(5000), grandparent);
+}
+
+TEST(CollectorRemap, LaunchExecPairsShareACorrelationIdOnlyWithinAConnection) {
+  // Each producer sends two launch/exec pairs under correlation ids 9 and
+  // 2000 (two correlation blocks).
+  const std::string bytes =
+      batch_frame({remap_span(1, kNoSpan, 9), remap_span(2, kNoSpan, 2000)}) +
+      batch_frame({remap_span(3, kNoSpan, 9), remap_span(4, kNoSpan, 2000)});
+  const auto by_tracer = collect_streams(uds_endpoint("remap_corr"),
+                                         {{"corr_a", bytes}, {"corr_b", bytes}});
+  std::map<std::string, std::pair<std::uint64_t, std::uint64_t>> pairs;
+  for (const auto& [tracer, got] : by_tracer) {
+    ASSERT_EQ(got.size(), 4u) << tracer;
+    std::map<TimePoint, std::uint64_t> corr;
+    for (const Span& sp : got) corr[sp.begin] = sp.correlation_id;
+    const std::uint64_t launch9 = corr.at(remap_span(1, kNoSpan).begin);
+    const std::uint64_t launch2000 = corr.at(remap_span(2, kNoSpan).begin);
+    EXPECT_NE(launch9, 0u);
+    EXPECT_EQ(corr.at(remap_span(3, kNoSpan).begin), launch9);
+    EXPECT_EQ(corr.at(remap_span(4, kNoSpan).begin), launch2000);
+    EXPECT_NE(launch9, launch2000);
+    pairs[tracer] = {launch9, launch2000};
+  }
+  ASSERT_EQ(pairs.size(), 2u);
+  const auto& [a9, a2000] = pairs.at("corr_a");
+  const auto& [b9, b2000] = pairs.at("corr_b");
+  EXPECT_NE(a9, b9);
+  EXPECT_NE(a9, b2000);
+  EXPECT_NE(a2000, b9);
+  EXPECT_NE(a2000, b2000);
+}
+
+TEST(CollectorRemap, SparseIdsStayUniqueIsolatedAndCostOneEntryEach) {
+  const SpanId kSparse[] = {1, SpanId{1} << 40, (SpanId{1} << 63) - 1};
+  const std::vector<Span> spans = {remap_span(kSparse[0], kSparse[2]),
+                                   remap_span(kSparse[1], kSparse[0]),
+                                   remap_span(kSparse[2], kNoSpan)};
+  const Endpoint ep = uds_endpoint("remap_sparse");
+  RunningCollector collector(ep);
+  Socket a = try_connect(ep, 1000);
+  Socket b = try_connect(ep, 1000);
+  ASSERT_TRUE(a.valid());
+  ASSERT_TRUE(b.valid());
+  ASSERT_TRUE(send_all(a, remap_stream_head("sparse_a") + batch_frame(spans)));
+  ASSERT_TRUE(send_all(b, remap_stream_head("sparse_b") + batch_frame(spans)));
+  ASSERT_TRUE(wait_until([&] { return collector.service.stats().spans_ingested == 6; }));
+  // Three distinct producer blocks per connection, one entry each.
+  EXPECT_EQ(collector.service.stats().remap_blocks, 6u);
+  a.shutdown_write();
+  b.shutdown_write();
+  (void)read_to_eof(a);
+  (void)read_to_eof(b);
+  collector.stop();
+  EXPECT_EQ(collector.service.stats().remap_blocks, 0u) << "closed connections hold no remap";
+
+  collector.server.flush();
+  std::map<std::string, std::vector<Span>> by_tracer;
+  std::vector<SpanId> all_ids;
+  for (const Span& sp : collector.server.take_trace()) {
+    by_tracer[sp.tracer.str()].push_back(sp);
+    all_ids.push_back(sp.id);
+  }
+  ASSERT_EQ(all_ids.size(), 6u);
+  std::sort(all_ids.begin(), all_ids.end());
+  EXPECT_TRUE(std::adjacent_find(all_ids.begin(), all_ids.end()) == all_ids.end());
+  for (const auto& [tracer, got] : by_tracer) {
+    ASSERT_EQ(got.size(), 3u) << tracer;
+    // Parents resolve inside the connection's own three ids.
+    for (const SpanId producer_id : {kSparse[0], kSparse[1]}) {
+      const SpanId parent_producer = producer_id == kSparse[0] ? kSparse[2] : kSparse[0];
+      for (const Span& sp : got) {
+        if (sp.begin != remap_span(producer_id, kNoSpan).begin) continue;
+        EXPECT_EQ(sp.parent, server_id_of(got, parent_producer)) << tracer;
+      }
+    }
+  }
+}
+
+/// Counts and discards spans, handing out ids from plain counters: a sink
+/// for the million-span remap bound that holds no spans.
+class CountingSink final : public trace::SpanSink {
+ public:
+  SpanId next_span_id() noexcept override { return next_span_.fetch_add(1); }
+  std::uint64_t next_correlation_id() noexcept override { return next_corr_.fetch_add(1); }
+  SpanId reserve_span_block() noexcept override {
+    return next_span_.fetch_add(trace::kIdBlock);
+  }
+  std::uint64_t reserve_correlation_block() noexcept override {
+    return next_corr_.fetch_add(trace::kIdBlock);
+  }
+  void publish(Span) override { published.fetch_add(1); }
+
+  std::atomic<std::uint64_t> published{0};
+
+ private:
+  std::atomic<SpanId> next_span_{1};
+  std::atomic<std::uint64_t> next_corr_{1};
+};
+
+TEST(CollectorRemap, MillionDenseSpansHoldOneRemapEntryPerIdBlock) {
+  constexpr SpanId kSpans = 1'000'000;
+  constexpr SpanId kPerFrame = 4096;
+  constexpr std::uint64_t kBound = (kSpans + trace::kIdBlock - 1) / trace::kIdBlock + 2;
+
+  CountingSink sink;
+  const Endpoint ep = uds_endpoint("remap_dense");
+  CollectorService service(ep, sink);
+  std::thread run([&service] { service.run(); });
+
+  Socket producer = try_connect(ep, 1000);
+  ASSERT_TRUE(producer.valid());
+  ASSERT_TRUE(send_all(producer, remap_stream_head("dense")));
+  std::vector<Span> spans;
+  for (SpanId first = 1; first <= kSpans; first += kPerFrame) {
+    spans.clear();
+    for (SpanId id = first; id < first + kPerFrame && id <= kSpans; ++id)
+      spans.push_back(remap_span(id, id - 1));
+    ASSERT_TRUE(send_all(producer, batch_frame(spans)));
+  }
+  // Still connected: the remap is live and must be one entry per block.
+  ASSERT_TRUE(wait_until([&] { return service.stats().spans_ingested == kSpans; }, 30000));
+  const std::uint64_t blocks = service.stats().remap_blocks;
+  EXPECT_LE(blocks, kBound);
+  EXPECT_GE(blocks, kSpans / trace::kIdBlock);
+  EXPECT_EQ(sink.published.load(), kSpans);
+
+  producer.shutdown_write();
+  (void)read_to_eof(producer);
+  service.stop();
+  run.join();
+  EXPECT_EQ(service.stats().remap_blocks, 0u);
+}
+
+TEST(CollectorRemap, InProcessTracerNeverCollidesWithRemappedIds) {
+  // A local Tracer and a remote producer publish into one sharded server
+  // at the same time; every span id and every correlation id in the
+  // merged trace must be unique.
+  constexpr std::size_t kSpansEach = 3000;
+  const Endpoint ep = uds_endpoint("remap_local");
+  RunningCollector collector(ep);
+  std::thread local([&collector] {
+    trace::Tracer tracer(collector.server, StrId("local_tracer"), trace::kKernelLevel);
+    for (std::size_t i = 0; i < kSpansEach; ++i) {
+      const SpanId id = tracer.start_span(StrId("local_op"), static_cast<TimePoint>(i));
+      if (i % 3 == 0) tracer.set_correlation(id, collector.server.next_correlation_id());
+      tracer.finish_span(id, static_cast<TimePoint>(i + 1));
+    }
+  });
+  {
+    trace::RemoteSinkOptions opts;
+    opts.batch_spans = 128;
+    trace::RemoteSink sink(ep, opts);
+    publish_fleet_member(sink, 0, kSpansEach);
+    sink.close();
+    EXPECT_EQ(sink.spans_sent(), kSpansEach);
+  }
+  local.join();
+  collector.stop();
+  collector.server.flush();
+
+  const std::vector<Span> spans = collector.server.take_trace();
+  ASSERT_EQ(spans.size(), 2 * kSpansEach);
+  std::vector<SpanId> ids;
+  std::vector<std::uint64_t> corrs;
+  for (const Span& sp : spans) {
+    ids.push_back(sp.id);
+    if (sp.correlation_id != 0) corrs.push_back(sp.correlation_id);
+  }
+  std::sort(ids.begin(), ids.end());
+  std::sort(corrs.begin(), corrs.end());
+  EXPECT_NE(ids.front(), kNoSpan);
+  EXPECT_TRUE(std::adjacent_find(ids.begin(), ids.end()) == ids.end())
+      << "a remapped id collided with a local tracer's id";
+  EXPECT_EQ(corrs.size(), 2 * ((kSpansEach + 2) / 3));
+  EXPECT_TRUE(std::adjacent_find(corrs.begin(), corrs.end()) == corrs.end())
+      << "a remapped correlation id collided with a local one";
+}
+
+// --- prompt stop and idle-sink accounting -----------------------------------
+
+TEST(CollectorLifecycle, StopWakesAnIdleLoopPromptly) {
+  CollectorOptions copts;
+  copts.poll_timeout_ms = 10000;
+  trace::ShardedTraceServer server(1, trace::PublishMode::kSync);
+  CollectorService service(uds_endpoint("col_stop"), server, copts);
+  std::thread run([&service] { service.run(); });
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));  // parked in poll
+  const auto t0 = std::chrono::steady_clock::now();
+  service.stop();
+  run.join();
+  EXPECT_LT(std::chrono::steady_clock::now() - t0, std::chrono::milliseconds(500));
+}
+
+TEST(RemoteSinkAccounting, IdleSinkCreditsSentAfterTheSocketDrains) {
+  // A peer that stops reading saturates the socket, so the last batch
+  // write of the busy period leaves bytes pending in the FrameSink. Once
+  // the peer drains, the idle sink must push and credit them on its own:
+  // the accounting identity holds with no close().
+  const Endpoint ep = uds_endpoint("rs_credit");
+  Listener listener(ep);
+  trace::RemoteSinkOptions opts;
+  opts.heartbeat_interval_ms = 0;  // nothing else would flush
+  trace::RemoteSink sink(ep, opts);
+  publish_fleet_member(sink, 0, 20000);
+  sink.flush();
+  Socket peer = accept_within(listener);  // the sink connects on first data
+  ASSERT_TRUE(peer.valid());
+  ASSERT_TRUE(wait_until([&] { return sink.outbox_spans() == 0; }));
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));  // sender goes idle
+
+  std::atomic<bool> reading{true};
+  std::thread drain([&] {
+    char buf[64 * 1024];
+    while (reading.load()) {
+      std::size_t n = 0;
+      if (peer.read_some(buf, sizeof buf, n) == IoResult::kWouldBlock) peer.wait_readable(10);
+    }
+  });
+  const auto balanced = [&] {
+    return sink.spans_published() ==
+           sink.spans_sent() + sink.spans_dropped() + sink.spans_sampled_dropped();
+  };
+  EXPECT_TRUE(wait_until(balanced, 2000))
+      << "published " << sink.spans_published() << " sent " << sink.spans_sent()
+      << " dropped " << sink.spans_dropped();
+  EXPECT_GT(sink.spans_sent(), 0u);
+  reading.store(false);
+  drain.join();
+  peer.close();
+  sink.close();
+  EXPECT_TRUE(balanced());
 }
 
 }  // namespace

@@ -224,6 +224,36 @@ TEST(MetricsEndpoint, UnknownPathAndNonGetAreErrors) {
   EXPECT_EQ(stats.http_errors, 2u);
 }
 
+TEST(MetricsEndpoint, RemapBlocksGaugeTracksOpenConnections) {
+  const Endpoint ingest_ep = uds_endpoint("http_remap");
+  ScrapableCollector collector(ingest_ep);
+  const auto scrape = [&collector] {
+    return http_exchange(collector.scrape_endpoint(), "GET /metrics HTTP/1.0\r\n\r\n");
+  };
+
+  // Ten dense span ids and one correlation id: one block of each.
+  trace::RemoteSink sink(ingest_ep);
+  for (int i = 0; i < 10; ++i) {
+    trace::Span sp;
+    sp.id = sink.next_span_id();
+    if (i == 0) sp.correlation_id = sink.next_correlation_id();
+    sp.name = trace::StrId("remap_gauge_op");
+    sp.tracer = trace::StrId("remap_gauge_tracer");
+    sp.begin = i;
+    sp.end = i + 1;
+    sink.publish(sp);
+  }
+  sink.flush();
+  ASSERT_TRUE(wait_until([&] { return collector.service.stats().spans_ingested == 10; }));
+  EXPECT_NE(scrape().find("# TYPE xsp_collector_remap_blocks gauge\nxsp_collector_remap_blocks 2\n"),
+            std::string::npos);
+
+  sink.close();
+  ASSERT_TRUE(wait_until([&] { return collector.service.open_connections() == 0; }));
+  EXPECT_NE(scrape().find("xsp_collector_remap_blocks 0\n"), std::string::npos);
+  collector.stop();
+}
+
 TEST(MetricsEndpoint, OversizedRequestLineIsConnectionLocal) {
   const Endpoint ingest_ep = uds_endpoint("http_oversz");
   ScrapableCollector collector(ingest_ep);

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <thread>
 #include <vector>
 
@@ -107,6 +109,47 @@ TEST(TraceServer, IdStripesProduceDisjointIds) {
   std::sort(ids.begin(), ids.end());
   EXPECT_NE(ids.front(), kNoSpan);
   EXPECT_EQ(std::adjacent_find(ids.begin(), ids.end()), ids.end());
+}
+
+TEST(TraceServer, ReservedBlocksNeverOverlapThreadIds) {
+  // reserve_span_block() and next_span_id()'s thread-local refill draw
+  // from one block sequence: a whole reserved block shares no id with
+  // ids handed out one at a time, on either stripe of a pair.
+  TraceServer even(PublishMode::kSync, IdStripe{0, 2});
+  TraceServer odd(PublishMode::kSync, IdStripe{1, 2});
+  std::vector<SpanId> ids;
+  for (int round = 0; round < 4; ++round) {
+    for (TraceServer* server : {&even, &odd}) {
+      for (int i = 0; i < 1500; ++i) ids.push_back(server->next_span_id());
+      const SpanId first = server->reserve_span_block();
+      for (SpanId id = first; id < first + kIdBlock; ++id) ids.push_back(id);
+    }
+  }
+  std::sort(ids.begin(), ids.end());
+  EXPECT_NE(ids.front(), kNoSpan);
+  EXPECT_EQ(std::adjacent_find(ids.begin(), ids.end()), ids.end());
+
+  TraceServer server(PublishMode::kSync);
+  const std::uint64_t single = server.next_correlation_id();
+  const std::uint64_t block = server.reserve_correlation_block();
+  EXPECT_GT(block, single);
+  EXPECT_EQ(server.next_correlation_id(), block + kIdBlock);
+}
+
+TEST(TraceServer, AsyncCollectorDeliversATrickleWithoutFlush) {
+  // Ten spans never fill a batch; the collector thread must still take
+  // the partial batch once a wait passes with nothing sealed.
+  TraceServer server(PublishMode::kAsync);
+  std::atomic<std::size_t> seen{0};
+  server.add_drain_subscriber([&seen](const SpanBatches& batches) {
+    for (const auto& batch : batches) seen.fetch_add(batch.size());
+  });
+  for (int i = 0; i < 10; ++i) server.publish(make_span(server.next_span_id(), i, i + 1));
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::milliseconds(200);
+  while (seen.load() < 10 && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+  EXPECT_EQ(seen.load(), 10u);
 }
 
 TEST(TraceServer, DestructionWithQueuedSpansIsClean) {

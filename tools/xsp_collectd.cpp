@@ -165,7 +165,7 @@ bool parse_args(int argc, char** argv, Options& opts) {
 }
 
 // The signal handler may only do async-signal-safe work; stop() is a
-// relaxed atomic store, nothing more.
+// relaxed atomic store plus one write(2) that wakes the poll loop.
 net::CollectorService* g_service = nullptr;
 
 void handle_stop_signal(int) {
@@ -184,7 +184,8 @@ void print_stats_json(const net::CollectorService& service) {
       "\"strings_reinterned\":%llu,\"frames_parsed\":%llu,"
       "\"footers_seen\":%llu,\"heartbeats_seen\":%llu,"
       "\"http_requests\":%llu,\"http_errors\":%llu,"
-      "\"producer_dropped_spans\":%llu,\"producer_reconnects\":%llu}\n",
+      "\"producer_dropped_spans\":%llu,\"producer_reconnects\":%llu,"
+      "\"remap_blocks\":%llu}\n",
       static_cast<unsigned long long>(s.connections_accepted),
       static_cast<unsigned long long>(s.connections_closed),
       static_cast<unsigned long long>(s.connections_errored),
@@ -198,7 +199,8 @@ void print_stats_json(const net::CollectorService& service) {
       static_cast<unsigned long long>(s.http_requests),
       static_cast<unsigned long long>(s.http_errors),
       static_cast<unsigned long long>(s.producer_dropped_spans),
-      static_cast<unsigned long long>(s.producer_reconnects));
+      static_cast<unsigned long long>(s.producer_reconnects),
+      static_cast<unsigned long long>(s.remap_blocks));
   std::fflush(stdout);
 }
 
